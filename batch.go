@@ -88,10 +88,11 @@ func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uin
 	s := r.scratch.Get().(*batchScratch)
 	s.prepare(n, len(r.cores))
 	var nextSpan uint64
-	if r.traceOn {
+	if r.traced(ptrace, true) {
 		// One atomic for the whole batch: reserve a block of span ids
 		// and hand them out sequentially (ids need only be unique per
-		// runtime, not dense in post order across posters).
+		// runtime, not dense in post order across posters; unsampled
+		// roots leave theirs unused).
 		nextSpan = r.traceSeq.Add(uint64(n)) - uint64(n) + 1
 	}
 	// With no color deviated anywhere, Owner == Hash for every color:
@@ -117,10 +118,11 @@ func (r *Runtime) postBatch(batch []BatchEvent, external bool, ptrace, pspan uin
 		ev.Penalty = lastPen
 		ev.Slab = true
 		ev.Data = be.Data
-		if r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0 {
+		sampled := r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0
+		if sampled {
 			ev.PostNanos = r.now()
 		}
-		if r.traceOn {
+		if r.traced(ptrace, sampled) {
 			ev.SpanID = nextSpan
 			if ptrace != 0 {
 				ev.TraceID, ev.ParentSpan = ptrace, pspan
@@ -339,5 +341,6 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 // blocked by an overload bound. With tracing on, every entry of the
 // batch becomes a child span of the posting handler's event.
 func (ctx *Ctx) PostBatch(batch []BatchEvent) error {
-	return ctx.r.postBatch(batch, false, ctx.ev.TraceID, ctx.ev.SpanID)
+	trace, span := ctx.lineage()
+	return ctx.r.postBatch(batch, false, trace, span)
 }

@@ -222,11 +222,22 @@ func BenchmarkFig7SWSAll(b *testing.B) {
 // ---- Real-runtime microbenchmarks ----
 
 // BenchmarkRuntimePostExecute measures the real runtime's end-to-end
-// post+execute cost for tiny handlers (queue overhead dominates).
+// post+execute cost for tiny handlers (queue overhead dominates). The
+// all-off case runs the default policy with the flight recorder and
+// latency sampling disabled, so its ratio to the default case is the
+// cost of the always-on observability.
 func BenchmarkRuntimePostExecute(b *testing.B) {
-	for _, pol := range []Policy{PolicyMelyWS, PolicyLibasync} {
-		b.Run(pol.String(), func(b *testing.B) {
-			r, err := New(Config{Cores: 2, Policy: pol})
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{PolicyMelyWS.String(), Config{Cores: 2, Policy: PolicyMelyWS}},
+		{PolicyLibasync.String(), Config{Cores: 2, Policy: PolicyLibasync}},
+		{"all-off", Config{Cores: 2, Policy: PolicyMelyWS, TraceRing: -1, ObsSampleRate: -1}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			r, err := New(tc.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -134,15 +134,22 @@ type Config struct {
 	// every ObsSampleRate posted events carries a timestamp from post to
 	// execution, feeding the per-core queue-delay and execution-time
 	// histograms (Stats.Cores[i].QueueDelayHist / ExecTimeHist) and the
-	// per-color delay attribution. Rounded up to a power of two. 0 means
-	// the default of 64 (≈1.6% of events, within noise of the posting
-	// hot path); 1 samples every event; negative disables the latency
-	// histograms entirely.
+	// per-color delay attribution. The same draw head-samples causal
+	// tracing: a trace root (an event posted from outside a handler)
+	// that draws the sample gets span ids, and every event it causes
+	// inherits them, so the flight recorder holds whole chains — about
+	// one in ObsSampleRate — and unsampled chains cost it nothing.
+	// Spilled roots are always traced. Rounded up to a power of two. 0
+	// means the default of 64 (≈1.6% of events, within noise of the
+	// posting hot path); 1 samples and traces every event; negative
+	// disables the latency histograms and execution tracing of
+	// in-memory posts entirely.
 	ObsSampleRate int
 	// TraceRing is the per-core flight-recorder capacity in records
 	// (rounded up to a power of two). The recorder is always on: every
-	// execution, steal, re-home, spill, reload, timer firing, and poll
-	// wakeup appends one fixed-size record, overwriting the oldest, and
+	// execution of a sampled chain (see ObsSampleRate), and every steal,
+	// re-home, spill, reload, timer firing, and poll wakeup appends one
+	// fixed-size record, overwriting the oldest, and
 	// Runtime.DumpTrace renders the rings as Chrome trace JSON on
 	// demand. 0 means the default of 4096 records per core (~128 KiB
 	// per core); negative disables the recorder.

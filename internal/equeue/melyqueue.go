@@ -213,6 +213,50 @@ func (q *CoreQueue) PopNext() (e *Event, emptied *ColorQueue) {
 	return e, nil
 }
 
+// PopRun is PopNext for a whole run of one color: it applies PopNext's
+// rotation rule once, then pops up to max events of the head color —
+// no more than the BatchThreshold budget PopNext would spend on it
+// before rotating — and returns them appended to buf[:0]. The result,
+// rotation, and emptied report equal len(run) consecutive PopNext calls,
+// so a platform can execute the run with one queue critical section.
+func (q *CoreQueue) PopRun(buf []*Event, max int) (run []*Event, emptied *ColorQueue) {
+	run = buf[:0]
+	cq := q.head
+	if cq == nil || max <= 0 {
+		return run, nil
+	}
+	threshold := q.BatchThreshold
+	if threshold <= 0 {
+		threshold = DefaultBatchThreshold
+	}
+	if q.batchCount >= threshold && cq.cqNext != nil {
+		q.rotate()
+		cq = q.head
+	}
+	n := threshold - q.batchCount
+	if n <= 0 {
+		// A lone color past its budget: PopNext keeps popping it until
+		// another color arrives to rotate to.
+		n = threshold
+	}
+	if n > max {
+		n = max
+	}
+	for len(run) < n {
+		run = append(run, cq.popFront())
+		q.nevents--
+		q.batchCount++
+		if cq.count == 0 {
+			q.unlinkColor(cq)
+			q.steal.remove(cq)
+			q.batchCount = 0
+			return run, cq
+		}
+	}
+	q.steal.reclassify(cq)
+	return run, nil
+}
+
 // StealBase mimics the Libasync-smp color choice on the Mely layout (used
 // for the "Mely - base WS" configurations): walk the CoreQueue and pick
 // the first color that is not running and holds fewer than half of the

@@ -470,3 +470,105 @@ func TestEstOverridesWorthinessAccounting(t *testing.T) {
 		t.Fatal("worthiness must follow the estimate, not the true cost")
 	}
 }
+
+// TestPopRunMatchesPopNext is a randomized model test: a CoreQueue
+// drained with PopRun must yield exactly what the same queue yields
+// under len(run) consecutive PopNext calls — event order, rotation,
+// and the emptied report — with pushes and steals interleaved between
+// runs, and must leave the two queues' visible state (lengths, head
+// color, StealingQueue contents and order) identical.
+func TestPopRunMatchesPopNext(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		runQ, refQ := NewCoreQueue(40), NewCoreQueue(40)
+		threshold := 1 + rng.Intn(12)
+		runQ.BatchThreshold, refQ.BatchThreshold = threshold, threshold
+		runTab, refTab := map[Color]*ColorQueue{}, map[Color]*ColorQueue{}
+		var buf []*Event
+		seq := 0
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				c, cost := Color(1+rng.Intn(6)), int64(1+rng.Intn(30))
+				a, b := ev(c, cost), ev(c, cost)
+				a.Data, b.Data = seq, seq
+				seq++
+				pushNew(runQ, runTab, a)
+				pushNew(refQ, refTab, b)
+			case k < 9:
+				max := 1 + rng.Intn(12)
+				var emptied *ColorQueue
+				buf, emptied = runQ.PopRun(buf, max)
+				if len(buf) > max {
+					t.Fatalf("seed %d: run of %d exceeds max %d", seed, len(buf), max)
+				}
+				if len(buf) == 0 && refQ.Len() != 0 {
+					t.Fatalf("seed %d: empty run from a queue holding %d events", seed, refQ.Len())
+				}
+				for i, e := range buf {
+					want, refEmptied := refQ.PopNext()
+					if want == nil || e.Data != want.Data {
+						t.Fatalf("seed %d op %d: run[%d] = %v, PopNext = %v", seed, op, i, e.Data, want)
+					}
+					if e.Color != buf[0].Color {
+						t.Fatalf("seed %d: run mixes colors %d and %d", seed, buf[0].Color, e.Color)
+					}
+					last := i == len(buf)-1
+					if (refEmptied != nil) != (last && emptied != nil) {
+						t.Fatalf("seed %d op %d: emptied mismatch at run[%d]: PopNext %v, PopRun %v (last=%v)",
+							seed, op, i, refEmptied != nil, emptied != nil, last)
+					}
+					if refEmptied != nil {
+						if refEmptied.Color() != emptied.Color() {
+							t.Fatalf("seed %d: emptied color %d, want %d", seed, emptied.Color(), refEmptied.Color())
+						}
+						delete(refTab, refEmptied.Color())
+						refQ.ReleaseColorQueue(refEmptied)
+						delete(runTab, emptied.Color())
+						runQ.ReleaseColorQueue(emptied)
+					}
+				}
+				if len(buf) > 0 && emptied == nil && len(buf) < max && runQ.batchCount < threshold {
+					// A run stops short of max only when its color
+					// empties or its batch budget is spent.
+					t.Fatalf("seed %d op %d: run of %d stopped short of max %d with budget left",
+						seed, op, len(buf), max)
+				}
+			default:
+				a := runQ.StealWorthySet(0, false, 2, nil)
+				b := refQ.StealWorthySet(0, false, 2, nil)
+				if len(a) != len(b) {
+					t.Fatalf("seed %d: steal sets differ: %d vs %d colors", seed, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].Color() != b[i].Color() || a[i].Len() != b[i].Len() {
+						t.Fatalf("seed %d: stolen color %d, want %d", seed, a[i].Color(), b[i].Color())
+					}
+					delete(runTab, a[i].Color())
+					delete(refTab, b[i].Color())
+				}
+			}
+			assertSameCoreQueue(t, seed, op, runQ, refQ)
+		}
+	}
+}
+
+func assertSameCoreQueue(t *testing.T, seed int64, op int, a, b *CoreQueue) {
+	t.Helper()
+	ac, aok := a.FirstColor()
+	bc, bok := b.FirstColor()
+	if a.Len() != b.Len() || a.Colors() != b.Colors() || ac != bc || aok != bok ||
+		a.batchCount != b.batchCount || a.Stealing().Len() != b.Stealing().Len() {
+		t.Fatalf("seed %d op %d: state diverged: len %d/%d colors %d/%d head %d/%d batch %d/%d worthy %d/%d",
+			seed, op, a.Len(), b.Len(), a.Colors(), b.Colors(), ac, bc,
+			a.batchCount, b.batchCount, a.Stealing().Len(), b.Stealing().Len())
+	}
+	aw := a.Stealing().CollectWorthy(0, false, 64, nil)
+	bw := b.Stealing().CollectWorthy(0, false, 64, nil)
+	for i := range aw {
+		if aw[i].Color() != bw[i].Color() {
+			t.Fatalf("seed %d op %d: StealingQueue order diverged at %d: %d vs %d",
+				seed, op, i, aw[i].Color(), bw[i].Color())
+		}
+	}
+}

@@ -145,6 +145,10 @@ func TestEchoRoundTrip(t *testing.T) {
 		if string(buf) != "ping" {
 			t.Fatalf("echo = %q", buf)
 		}
+		// The accept handler runs under the listener's color, so the
+		// echo can complete before it has run (or finished: it counts
+		// the accept before storing the connection).
+		waitFor(t, func() bool { return h.accept.Load() >= 1 && h.lastConn.Load() != nil })
 		if h.accept.Load() != 1 {
 			t.Fatalf("accepts = %d", h.accept.Load())
 		}

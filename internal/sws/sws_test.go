@@ -148,6 +148,11 @@ func TestKeepAliveServesRepeatedRequests(t *testing.T) {
 			t.Fatalf("request %d: %q %q", i, status, body)
 		}
 	}
+	// The count moves after the response is sent, so the client can
+	// read the last response before the server has counted it.
+	for deadline := time.Now().Add(5 * time.Second); srv.Served() < 150 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if srv.Served() < 150 {
 		t.Fatalf("served = %d", srv.Served())
 	}

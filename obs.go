@@ -105,13 +105,12 @@ func (t *colorDelayTable) snapshot() []ColorDelay {
 
 // observeExec is the execution-side half of the latency sampling and
 // the flight recorder's exec record. Called by execute only when the
-// event is sampled or the recorder is on; start is the execution start
-// already measured for the profiler, so the instrumentation adds no
-// clock reads.
-func (r *Runtime) observeExec(c *rcore, ev *equeue.Event, start time.Time, elapsed int64) {
-	startRel := start.Sub(r.epoch).Nanoseconds()
+// event is latency-sampled or belongs to a sampled chain; start is the
+// execution start already read for the profiler (runtime-epoch
+// nanoseconds), so the instrumentation adds no clock reads.
+func (r *Runtime) observeExec(c *rcore, ev *equeue.Event, start, elapsed int64) {
 	if post := ev.PostNanos; post != 0 {
-		d := startRel - post
+		d := start - post
 		if d < 0 {
 			d = 0
 		}
@@ -119,15 +118,16 @@ func (r *Runtime) observeExec(c *rcore, ev *equeue.Event, start time.Time, elaps
 		c.stats.execTimeHist.Observe(elapsed)
 		c.colorDelays.note(Color(ev.Color), d)
 	}
-	if c.ring != nil {
+	if ev.SpanID != 0 && c.ring != nil {
 		n := uint32(ev.Handler)
 		if ev.Stolen {
 			n |= obs.StolenFlag
 		}
 		// The exec record carries the causal ids: chains are
-		// reconstructed from exec records alone (posts are sampled),
-		// so this is the one per-event flow cost — three atomic stores.
-		c.ring.AppendFlow(obs.KindExec, startRel, elapsed, uint64(ev.Color), n,
+		// reconstructed from exec records alone (posts are sampled).
+		// Only head-sampled chains carry a span (see Runtime.traced), so
+		// unsampled executions write nothing here.
+		c.ring.AppendFlow(obs.KindExec, start, elapsed, uint64(ev.Color), n,
 			ev.TraceID, ev.SpanID, ev.ParentSpan)
 	}
 }

@@ -1030,11 +1030,13 @@ func (r *Runtime) spillPost(hs []handlerEntry, idx int32, color Color, data any,
 		Tag:     tag,
 		Payload: payload,
 	}
-	if r.traceOn {
+	if r.traced(ptrace, true) {
 		// The span is minted at spill time so the record carries its
 		// full lineage to disk: the reloaded event is the SAME hop, not
 		// a new one, and melytrace sees one span spanning the disk
-		// round-trip.
+		// round-trip. A spilled root is always sampled: next to the
+		// disk append its ids cost nothing, and it heads a chain an
+		// operator diagnosing overload wants to see.
 		span := r.traceSeq.Add(1)
 		rec.SpanID = span
 		if ptrace != 0 {

@@ -137,6 +137,12 @@ type rcore struct {
 	// Timer scratch (worker-owned): harvest and steal-migration buffers.
 	timerBuf []*timerwheel.Entry
 	entryBuf []*timerwheel.Entry
+	// run holds the color run popLocal took (worker-owned): up to
+	// BatchThreshold events of one color, popped under one lock hold and
+	// executed back to back. profRand is the worker's xorshift state for
+	// thinning handler-profile updates (see profileDue).
+	run      []*equeue.Event
+	profRand uint64
 	// ctx is the worker's reusable handler context. Handlers receive
 	// *Ctx, which escapes, so a per-event Ctx literal was the hot
 	// path's only heap allocation; one event executes at a time per
@@ -340,9 +346,12 @@ func New(cfg Config) (*Runtime, error) {
 		stealCap = policy.DefaultMaxStealColors
 	}
 	r.cores = make([]*rcore, cfg.Cores)
+	runCap := min(cfg.BatchThreshold, maxRunLen)
 	for i := range r.cores {
 		c := &rcore{
 			id:        i,
+			run:       make([]*equeue.Event, 0, runCap),
+			profRand:  uint64(i+1) * 0x9e3779b97f4a7c15,
 			wake:      make(chan struct{}, 1),
 			wheel:     timerwheel.New(cfg.TimerTick, cfg.TimerWheelLevels),
 			victimBuf: make([]int, 0, cfg.Cores),
@@ -599,9 +608,10 @@ func unknownHandlerError(h Handler) error {
 }
 
 // buildEvent validates the handler and materializes a pooled event.
-// ptrace/pspan are the causal parent's identifiers (zero = root): with
-// tracing on the event gets its own span id, inheriting the parent's
-// trace or founding a new one.
+// ptrace/pspan are the causal parent's identifiers (zero = root,
+// unsampledTrace = child of an unsampled chain): the event gets span
+// ids when its chain is head-sampled (see traced), inheriting the
+// parent's trace or founding a new one.
 func (r *Runtime) buildEvent(hs []handlerEntry, h Handler, color Color, data any, ptrace, pspan uint64) (*equeue.Event, error) {
 	idx := int(h.id) - 1
 	if idx < 0 || idx >= len(hs) {
@@ -616,12 +626,13 @@ func (r *Runtime) buildEvent(hs []handlerEntry, h Handler, color Color, data any
 		Penalty: r.pol.EffectivePenalty(entry.penalty),
 		Data:    data,
 	}
-	if r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0 {
+	sampled := r.obsOn && r.obsSeq.Add(1)&r.obsMask == 0
+	if sampled {
 		// Sampled for latency observation: the stamp rides to execution,
 		// where the queue delay is measured (see observeExec).
 		ev.PostNanos = r.now()
 	}
-	if r.traceOn {
+	if r.traced(ptrace, sampled) {
 		span := r.traceSeq.Add(1)
 		ev.SpanID = span
 		if ptrace != 0 {
@@ -631,6 +642,26 @@ func (r *Runtime) buildEvent(hs []handlerEntry, h Handler, color Color, data any
 		}
 	}
 	return ev, nil
+}
+
+// unsampledTrace is the parent trace id a handler of an unsampled chain
+// passes for the events it posts (see Ctx.lineage): it marks them as
+// children, which inherit the chain's "no ids" instead of drawing a
+// fresh root sampling decision. It never appears as an event's id.
+const unsampledTrace = ^uint64(0)
+
+// traced is the head-sampling rule (Dapper-style): a trace root
+// (ptrace zero) gets span ids when its post drew the ObsSampleRate
+// latency sample, and a child inherits its parent's decision, so a
+// chain is recorded whole or not at all. sampled is the root's draw.
+func (r *Runtime) traced(ptrace uint64, sampled bool) bool {
+	if !r.traceOn {
+		return false
+	}
+	if ptrace == 0 {
+		return sampled
+	}
+	return ptrace != unsampledTrace
 }
 
 // estimate is the profiled per-execution cost in nanoseconds, the
@@ -677,7 +708,7 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 		}
 		c.syncDiskLen()
 		c.stats.postedHere.Add(1)
-		if ev.PostNanos != 0 && c.ring != nil {
+		if ev.PostNanos != 0 && ev.SpanID != 0 && c.ring != nil {
 			c.ring.AppendFlow(obs.KindPost, ev.PostNanos, 0, uint64(ev.Color), uint32(ev.Handler),
 				ev.TraceID, ev.SpanID, ev.ParentSpan)
 		}
@@ -791,8 +822,8 @@ func (r *Runtime) worker(c *rcore) {
 			idle = 0
 			continue
 		}
-		if ev := r.popLocal(c); ev != nil {
-			r.execute(c, ev)
+		if run := r.popLocal(c); len(run) > 0 {
+			r.executeRun(c, run)
 			idle = 0
 			continue
 		}
@@ -836,20 +867,29 @@ func (r *Runtime) worker(c *rcore) {
 	}
 }
 
-// popLocal dequeues the next event of c's queue, maintaining the
-// running color for thieves.
-func (r *Runtime) popLocal(c *rcore) *equeue.Event {
+// maxRunLen caps the run buffer when Config.BatchThreshold is large: a
+// color with budget left simply continues in the next run.
+const maxRunLen = 64
+
+// popLocal dequeues the next run of c's queue — up to BatchThreshold
+// events of the head color in one lock hold (the list layout pops one
+// event) — publishing the steal mirrors once per run and marking the
+// color running for the whole run, so thieves leave it alone and
+// per-color serialization and FIFO hold as with per-event pops.
+func (r *Runtime) popLocal(c *rcore) []*equeue.Event {
 	c.lock.Lock()
-	var ev *equeue.Event
+	run := c.run[:0]
 	if c.list != nil {
-		ev = c.list.PopFront()
+		if ev := c.list.PopFront(); ev != nil {
+			run = append(run, ev)
+		}
 		c.qlen.Store(int32(c.list.Len()))
 	} else {
 		if r.pol.TimeLeft {
 			c.mely.SetStealCost(r.stealMon.Estimate())
 		}
 		var emptied *equeue.ColorQueue
-		ev, emptied = c.mely.PopNext()
+		run, emptied = c.mely.PopRun(run, cap(run))
 		if emptied != nil {
 			r.table.ClearQueue(emptied.Color(), emptied)
 			c.mely.ReleaseColorQueue(emptied)
@@ -859,20 +899,54 @@ func (r *Runtime) popLocal(c *rcore) *equeue.Event {
 		c.stealLen.Store(int32(c.mely.Stealing().Len()))
 	}
 	c.syncDiskLen()
-	if ev != nil {
-		c.running, c.hasRunning = ev.Color, true
+	if len(run) > 0 {
+		c.running, c.hasRunning = run[0].Color, true
 	}
 	c.lock.Unlock()
-	return ev
+	c.run = run
+	return run
 }
 
-// execute runs the handler and feeds the profiler. A panicking handler
-// is contained: the event is dropped, the panic counted, and the worker
-// lives on (one bad event must not take down the whole core).
-func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
+// executeRun executes a popped run back to back with one clock read
+// per event: each event's end is the next one's start. Events of the
+// run still waiting when Stop lands are dropped, as queued events are.
+func (r *Runtime) executeRun(c *rcore, run []*equeue.Event) {
+	t := r.now()
+	for i, ev := range run {
+		run[i] = nil
+		if i > 0 && r.stopped.Load() {
+			clear(run[i:])
+			return
+		}
+		t = r.execute(c, ev, t)
+	}
+}
+
+// profileSampleMask thins handler-profile updates to about one
+// execution in eight per core: Observe is a CAS on a line every core
+// shares, and an EWMA of a stable handler needs no more.
+const profileSampleMask = 7
+
+// profileDue reports whether this execution feeds the handler profile.
+// A worker-owned xorshift draw, not a counter, so a core alternating
+// handlers in a fixed pattern cannot starve one of them of samples.
+func (c *rcore) profileDue() bool {
+	x := c.profRand
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	c.profRand = x
+	return x&profileSampleMask == 0
+}
+
+// execute runs the handler and feeds the profiler. start is the
+// execution start on the runtime's monotonic clock (Runtime.now); the
+// returned end is the one clock read the event costs. A panicking
+// handler is contained: the event is dropped, the panic counted, and
+// the worker lives on (one bad event must not take down the whole core).
+func (r *Runtime) execute(c *rcore, ev *equeue.Event, start int64) (end int64) {
 	hs := *r.handlers.Load()
 	entry := &hs[ev.Handler]
-	start := time.Now()
 	if entry.fn != nil {
 		if r.stallOn {
 			// Progress stamp for the stall watchdog: the descriptive
@@ -881,7 +955,7 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 			c.execTrace.Store(ev.TraceID)
 			c.execSpan.Store(ev.SpanID)
 			c.execHandler.Store(int32(ev.Handler))
-			c.execStart.Store(start.Sub(r.epoch).Nanoseconds())
+			c.execStart.Store(start)
 		}
 		c.ctx = Ctx{r: r, core: c, ev: ev}
 		runHandler(entry, &c.ctx, &c.stats)
@@ -891,18 +965,22 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 			c.stalled.Store(false) // the episode (if any) ended with the handler
 		}
 	}
-	elapsed := time.Since(start).Nanoseconds()
+	end = r.now()
+	elapsed := end - start
 	if elapsed < 1 {
 		elapsed = 1
 	}
-	r.profiles.Handler(int(ev.Handler)).Observe(elapsed)
+	// An unprofiled handler always learns from its first execution.
+	if p := r.profiles.Handler(int(ev.Handler)); c.profileDue() || p.Estimate() == 0 {
+		p.Observe(elapsed)
+	}
 	c.stats.events.Add(1)
 	c.stats.execNanos.Add(elapsed)
 	if ev.Stolen {
 		c.stats.stolenEvents.Add(1)
 		c.stats.stolenExecNanos.Add(elapsed)
 	}
-	if ev.PostNanos != 0 || c.ring != nil {
+	if ev.PostNanos != 0 || ev.SpanID != 0 {
 		r.observeExec(c, ev, start, elapsed)
 	}
 	color := ev.Color
@@ -922,6 +1000,7 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event) {
 	if r.pending.Add(-1) == 0 && r.drainWaiters.Load() > 0 {
 		r.wakeDrainers()
 	}
+	return end
 }
 
 // runHandler invokes the handler with panic containment.
@@ -1048,7 +1127,7 @@ func (v rcoreView) Stealing() *equeue.StealingQueue {
 func (r *Runtime) stealOnce(c *rcore) bool {
 	c.clearRunning()
 	c.stats.stealAttempts.Add(1)
-	start := time.Now()
+	start := r.now()
 
 	// Rank victims by effective depth: in-memory events plus the
 	// mirrored spill backlog of the colors linked there, so a victim
@@ -1166,9 +1245,9 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		// re-resolves ownership — they just cost a remote post.
 		r.migrateTimersOnSteal(c, v, colors)
 
-		dt := time.Since(start).Nanoseconds()
+		dt := r.now() - start
 		if c.ring != nil {
-			c.ring.Append(obs.KindSteal, start.Sub(r.epoch).Nanoseconds(), dt,
+			c.ring.Append(obs.KindSteal, start, dt,
 				uint64(vid), uint32(len(colors)))
 		}
 		c.stats.steals.Add(1)
@@ -1211,9 +1290,20 @@ type Ctx struct {
 // wedge the worker executing this handler), though a spilling color's
 // tail discipline still applies under OverloadSpill. The new event
 // inherits this event's causal lineage (same trace, parented on this
-// span) when tracing is on.
+// span) when its chain is traced.
 func (ctx *Ctx) Post(h Handler, color Color, data any) error {
-	return ctx.r.post(nil, h, color, data, false, ctx.ev.TraceID, ctx.ev.SpanID)
+	trace, span := ctx.lineage()
+	return ctx.r.post(nil, h, color, data, false, trace, span)
+}
+
+// lineage is the causal parent the running event hands to the events
+// it posts: its own trace and span, or unsampledTrace when its chain
+// carries no ids, so children inherit the head-sampling decision.
+func (ctx *Ctx) lineage() (trace, span uint64) {
+	if ctx.ev.TraceID == 0 {
+		return unsampledTrace, 0
+	}
+	return ctx.ev.TraceID, ctx.ev.SpanID
 }
 
 // Data returns the event's payload.
@@ -1229,11 +1319,13 @@ func (ctx *Ctx) CoreID() int { return ctx.core.id }
 func (ctx *Ctx) Stolen() bool { return ctx.ev.Stolen }
 
 // TraceID returns the executing event's causal trace id — the id of
-// the ingress root this event descends from (zero with tracing off).
+// the ingress root this event descends from (zero with tracing off or
+// when the chain was not head-sampled; see Config.ObsSampleRate).
 func (ctx *Ctx) TraceID() uint64 { return ctx.ev.TraceID }
 
 // SpanID returns the executing event's own span id (zero with tracing
-// off). Events posted from this handler are parented on it.
+// off or on an unsampled chain). Events posted from this handler are
+// parented on it.
 func (ctx *Ctx) SpanID() uint64 { return ctx.ev.SpanID }
 
 // Runtime returns the owning runtime.

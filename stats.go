@@ -186,7 +186,10 @@ func (s *PollSample) add(o PollSample) {
 
 // CoreStats is a snapshot of one worker's counters.
 type CoreStats struct {
-	// Events executed on this core and their total handler time.
+	// Events executed on this core and their total handler time. A
+	// worker reads the clock once per event and runs a color's events
+	// back to back, so ExecTime also covers the worker's bookkeeping
+	// between consecutive handlers of one run.
 	Events   int64
 	ExecTime time.Duration
 	// Steals performed by this core (RemoteSteals crossed a cache
@@ -268,7 +271,7 @@ func (c CoreStats) MeanStealBatch() float64 {
 //	field                     kind       meaning
 //	------------------------  ---------  ----------------------------------------
 //	Cores[i].Events           counter    events executed on core i
-//	Cores[i].ExecTime         counter    total handler time
+//	Cores[i].ExecTime         counter    total handler time, incl. gaps between handlers of a run
 //	Cores[i].Steals           counter    successful steals by this core
 //	Cores[i].RemoteSteals     counter    steals crossing a cache boundary
 //	Cores[i].StealAttempts    counter    steal probes (incl. failures)

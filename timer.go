@@ -105,7 +105,8 @@ func (r *Runtime) PostEvery(h Handler, color Color, every time.Duration, data an
 // causal lineage: with tracing on, the firing appears as a child hop of
 // this handler's span rather than founding a new trace.
 func (ctx *Ctx) PostAfter(h Handler, color Color, d time.Duration, data any) (*Timer, error) {
-	return ctx.r.postTimer(h, color, ctx.r.afterDeadline(d), 0, data, ctx.ev.TraceID, ctx.ev.SpanID)
+	trace, span := ctx.lineage()
+	return ctx.r.postTimer(h, color, ctx.r.afterDeadline(d), 0, data, trace, span)
 }
 
 // now is the runtime's monotonic timer clock: nanoseconds since the

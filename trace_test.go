@@ -375,6 +375,125 @@ func TestTraceRingDisabledZeroAlloc(t *testing.T) {
 	t.Errorf("TraceRing: -1 runtime allocates %.3f per post/execute, want 0", allocs)
 }
 
+// TestDefaultConfigZeroAlloc: the default configuration — flight
+// recorder on, one post in ObsSampleRate latency-sampled and its chain
+// traced — must also pay zero allocations per post/execute.
+func TestDefaultConfigZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc accounting is meaningless")
+	}
+	r := startRuntime(t, Config{Cores: 1})
+	done := make(chan struct{}, 1)
+	h := r.Register("noop", func(ctx *Ctx) { done <- struct{}{} })
+
+	// 256 runs cover several sampled posts at the default rate of 64.
+	var allocs float64
+	for attempt := 0; attempt < 3; attempt++ {
+		allocs = testing.AllocsPerRun(256, func() {
+			if err := r.Post(h, 7, nil); err != nil {
+				t.Fatal(err)
+			}
+			<-done
+		})
+		if allocs == 0 {
+			return
+		}
+	}
+	t.Errorf("default runtime allocates %.3f per post/execute, want 0", allocs)
+}
+
+// execRecords returns every KindExec record in the runtime's core rings.
+func execRecords(r *Runtime) []obs.Event {
+	var out []obs.Event
+	for _, c := range r.cores {
+		for _, e := range c.ring.Snapshot(nil) {
+			if e.Kind == obs.KindExec {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// postChains posts n trace roots, each of which posts a child that
+// posts a grandchild (three hops), and drains the runtime.
+func postChains(t *testing.T, r *Runtime, n int) {
+	t.Helper()
+	var hop2, hop3 Handler
+	hop3 = r.Register("hop3", func(ctx *Ctx) {})
+	hop2 = r.Register("hop2", func(ctx *Ctx) {
+		if err := ctx.Post(hop3, ctx.Color()+1, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	hop1 := r.Register("hop1", func(ctx *Ctx) {
+		if err := ctx.Post(hop2, ctx.Color()+1, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	for i := 0; i < n; i++ {
+		if err := r.Post(hop1, Color(i%50*3), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drain(t, r)
+}
+
+// TestHeadSampledTraceDefaultRate: at the default ObsSampleRate the
+// sampling decision is taken once per trace root and inherited down the
+// chain, so the flight recorder holds whole chains only — every exec
+// record carries a span, every recorded trace is connected and three
+// hops deep — and far fewer chains than were posted.
+func TestHeadSampledTraceDefaultRate(t *testing.T) {
+	r := startRuntime(t, Config{Cores: 2})
+	const n = 1280
+	postChains(t, r, n)
+
+	recs := execRecords(r)
+	for _, e := range recs {
+		if e.Span == 0 || e.Trace == 0 {
+			t.Fatalf("exec record without causal ids: %+v", e)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.DumpTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := obs.ParseFlowDump(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Traces) == 0 || len(idx.Traces) >= n/8 {
+		t.Fatalf("%d sampled chains of %d posted, want about 1 in 64", len(idx.Traces), n)
+	}
+	if len(idx.Orphans) != 0 {
+		t.Errorf("%d orphan spans: a sampled chain lost a hop", len(idx.Orphans))
+	}
+	for trace, spans := range idx.Traces {
+		if !idx.Connected(trace) || len(spans) != 3 || idx.Depth(trace) != 3 {
+			t.Errorf("trace %#x: %d spans, depth %d, connected %v; want a whole 3-hop chain",
+				trace, len(spans), idx.Depth(trace), idx.Connected(trace))
+		}
+	}
+	if got, want := len(recs), 3*len(idx.Traces); got != want {
+		t.Errorf("%d exec records for %d chains, want %d", got, len(idx.Traces), want)
+	}
+}
+
+// TestTraceRateOneRecordsEveryExecution: ObsSampleRate 1 samples every
+// root, so every execution lands in the flight recorder.
+func TestTraceRateOneRecordsEveryExecution(t *testing.T) {
+	r := startRuntime(t, Config{Cores: 2, ObsSampleRate: 1})
+	const n = 300
+	postChains(t, r, n)
+	if got := r.Stats().Total().Events; got != 3*n {
+		t.Fatalf("executed %d events, want %d", got, 3*n)
+	}
+	if got := len(execRecords(r)); got != 3*n {
+		t.Errorf("%d exec records, want one per execution (%d)", got, 3*n)
+	}
+}
+
 // TestStallWatchdog: a handler parked past StallThreshold is reported
 // exactly once per episode — the stalled-cores gauge rises, the
 // per-core stall counter ticks, a goroutine stack is captured, a STALL
