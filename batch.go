@@ -291,7 +291,7 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 				c.list.PushBack(ev)
 			} else {
 				if c.mely.Push(lastCQ, ev) {
-					c.stats.colorQueueChurns.Add(1)
+					c.stats.ctr[ctrColorQueueChurns].Add(1)
 				}
 			}
 			delivered++
@@ -326,8 +326,8 @@ func (r *Runtime) deliverGroup(owner int, slab []equeue.Event, next []int32, hea
 	}
 	c.syncDiskLen()
 	if delivered > 0 {
-		c.stats.postedHere.Add(int64(delivered))
-		c.stats.batchedEvents.Add(int64(delivered))
+		c.stats.ctr[ctrPostedHere].Add(int64(delivered))
+		c.stats.ctr[ctrBatchedEvents].Add(int64(delivered))
 	}
 	c.lock.Unlock()
 	if delivered > 0 {

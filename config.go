@@ -160,18 +160,13 @@ type Config struct {
 	// flight-recorder record carrying the stalled span's trace id,
 	// captures a full goroutine stack (Runtime.LastStallStack), counts
 	// the episode (Stats mely_stalls_total / mely_stalled_cores), and —
-	// if StallDumpPath is set — writes an automatic DumpTrace. One
+	// if IncidentDir is set — captures an incident bundle. One
 	// record per episode: a core stuck in one handler is reported once
 	// until that handler returns. 0 (the default) disables the watchdog
 	// entirely; thresholds under 1ms are rejected (the stamp check runs
 	// at threshold/4, floored at 10ms — finer stalls need a profiler,
 	// not a watchdog).
 	StallThreshold time.Duration
-	// StallDumpPath, when non-empty, makes the stall watchdog write the
-	// flight recorder to this file (Chrome trace JSON, overwritten per
-	// episode) the moment a stall is detected, so the trace context
-	// around the stall survives even if the process must be killed.
-	StallDumpPath string
 
 	// ObsInterval arms the metrics time-series collector: every
 	// interval a collector goroutine snapshots Stats into a

@@ -66,13 +66,11 @@ type HealthReport struct {
 	Anomalies []Anomaly `json:"anomalies,omitempty"`
 }
 
-// tsCollector is the per-runtime collector state: the ring, the health
-// configuration, and the episode bookkeeping. Built by Start when
-// Config.ObsInterval > 0.
+// tsCollector is the per-runtime collector state: the ring and the
+// episode bookkeeping. Built by New when Config.ObsInterval > 0.
 type tsCollector struct {
 	ring     *obs.TimeSeries
 	interval time.Duration
-	cfg      obs.HealthConfig
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -96,7 +94,6 @@ func newCollector(r *Runtime) *tsCollector {
 	return &tsCollector{
 		ring:     obs.NewTimeSeries(r.cfg.ObsHistory, len(r.cores), r.cfg.ObsInterval),
 		interval: r.cfg.ObsInterval,
-		cfg:      obs.HealthConfig{TargetQueueDelay: r.cfg.TargetQueueDelay},
 		stop:     make(chan struct{}),
 		firing:   make(map[string]bool),
 		scratch:  obs.TSSample{Cores: make([]obs.TSCore, len(r.cores))},
@@ -134,7 +131,7 @@ func (r *Runtime) collectTick(col *tsCollector) {
 // episode accounting: a kind that was not firing at the previous
 // evaluation is a fresh episode — counted once, dispatched once.
 func (r *Runtime) evaluateHealth(col *tsCollector) {
-	rep := obs.EvaluateHealth(col.ring.Snapshot(nil), col.cfg)
+	rep := obs.EvaluateHealth(col.ring.Snapshot(nil), r.cfg.TargetQueueDelay)
 
 	col.mu.Lock()
 	var fresh []string

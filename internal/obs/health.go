@@ -27,81 +27,34 @@ const (
 	AnomalyStallRecurrence = "stall-recurrence"
 )
 
-// HealthConfig tunes the detectors. The zero value selects the
-// defaults noted on each field (applied by withDefaults), so callers
-// set only what they want to move.
-type HealthConfig struct {
-	// DriftFactor: queue-delay drift fires when the current window's
-	// p99 exceeds DriftFactor x the trailing-baseline median p99.
-	// Default 4 (two histogram buckets — below that is resolution
-	// noise).
-	DriftFactor float64
-	// DriftFloor: drift below this absolute p99 never fires, however
-	// large the ratio; an idle runtime jumping 500ns -> 4us is not an
-	// anomaly. Default 2ms.
-	DriftFloor time.Duration
-	// BaselineWindows caps how many trailing windows (before the
-	// current one) form the baseline median. Default 30.
-	BaselineWindows int
-	// MinBaselineWindows is how many trailing windows with traffic are
-	// needed before drift can fire at all. Default 3.
-	MinBaselineWindows int
+// Detector thresholds.
+const (
+	// Queue-delay drift fires when the current window's p99 exceeds
+	// driftFactor x the median p99 of up to baselineWindows trailing
+	// windows with traffic (at least minBaselineWindows of them), and
+	// the whole p99 bucket lies at or above driftFloor. The factor is
+	// two histogram buckets — below that is resolution noise — and the
+	// floor keeps an idle runtime jumping 500ns -> 4us quiet.
+	driftFactor        = 4.0
+	driftFloor         = 2 * time.Millisecond
+	baselineWindows    = 30
+	minBaselineWindows = 3
 
-	// ImbalanceFactor: steal imbalance fires when the hottest core's
-	// failed-steal+backoff rate exceeds ImbalanceFactor x the mean of
-	// the other cores (plus one, so a single noisy core over an idle
-	// fleet still needs real volume). Default 8.
-	ImbalanceFactor float64
-	// ImbalanceFloor: the hottest core must also exceed this absolute
-	// rate (events/sec) for imbalance to fire. Default 1000/s.
-	ImbalanceFloor float64
+	// Steal imbalance fires when the hottest core's failed-steal +
+	// backoff-park rate exceeds imbalanceFactor x (the other cores'
+	// mean + 1) and the absolute imbalanceFloor (events/sec).
+	imbalanceFactor = 8
+	imbalanceFloor  = 1000
 
-	// SpillGrowthWindows: spill growth fires when SpilledNow increased
-	// in each of this many most-recent windows. Default 4.
-	SpillGrowthWindows int
+	// Spill growth fires when SpilledNow increased in each of the
+	// spillGrowthWindows most recent windows.
+	spillGrowthWindows = 4
 
-	// StallWindows is the recent span scanned for stall recurrence;
-	// StallRecurrence is the episode count within it that fires.
-	// Defaults 5 and 2. A currently-stalled core (StalledCores > 0 in
-	// the newest sample) fires immediately regardless.
-	StallWindows    int
-	StallRecurrence int
-
-	// TargetQueueDelay, when positive, turns on the MaxQueuedEvents
-	// recommendation (see RecommendMaxQueued). Default off.
-	TargetQueueDelay time.Duration
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.DriftFactor == 0 {
-		c.DriftFactor = 4
-	}
-	if c.DriftFloor == 0 {
-		c.DriftFloor = 2 * time.Millisecond
-	}
-	if c.BaselineWindows == 0 {
-		c.BaselineWindows = 30
-	}
-	if c.MinBaselineWindows == 0 {
-		c.MinBaselineWindows = 3
-	}
-	if c.ImbalanceFactor == 0 {
-		c.ImbalanceFactor = 8
-	}
-	if c.ImbalanceFloor == 0 {
-		c.ImbalanceFloor = 1000
-	}
-	if c.SpillGrowthWindows == 0 {
-		c.SpillGrowthWindows = 4
-	}
-	if c.StallWindows == 0 {
-		c.StallWindows = 5
-	}
-	if c.StallRecurrence == 0 {
-		c.StallRecurrence = 2
-	}
-	return c
-}
+	// Stall recurrence fires on stallRecurrence episodes within the
+	// last stallWindows windows, or at once while a core is stalled.
+	stallWindows    = 5
+	stallRecurrence = 2
+)
 
 // Anomaly is one detector firing: the kind, a human-readable detail,
 // and the observed value vs the limit it crossed (unit depends on the
@@ -124,9 +77,9 @@ type HealthReport struct {
 	Windows   int       `json:"windows"`
 	Anomalies []Anomaly `json:"anomalies,omitempty"`
 	// RecommendedMaxQueued is the adaptive-bounds stepping stone: the
-	// MaxQueuedEvents that would hold queue delay near
-	// HealthConfig.TargetQueueDelay at the observed drain rate
-	// (Little's law). 0 when no target is set or the window is idle.
+	// MaxQueuedEvents that would hold queue delay near the target
+	// queue delay at the observed drain rate (Little's law). 0 when no
+	// target is set or the window is idle.
 	// Recommendation only — nothing enforces it yet.
 	RecommendedMaxQueued int64 `json:"recommended_max_queued,omitempty"`
 }
@@ -150,10 +103,10 @@ func RecommendMaxQueued(eventsPerSec float64, target time.Duration) int64 {
 
 // EvaluateHealth runs every detector over the samples (oldest first,
 // as returned by TimeSeries.Snapshot) and reports what is firing right
-// now. Pure function of its inputs: the runtime's collector owns
-// episode accounting and hook dispatch.
-func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
-	cfg = cfg.withDefaults()
+// now; a positive targetQueueDelay also computes the MaxQueuedEvents
+// recommendation. Pure function of its inputs: the runtime's collector
+// owns episode accounting and hook dispatch.
+func EvaluateHealth(samples []TSSample, targetQueueDelay time.Duration) HealthReport {
 	points := DerivePoints(samples)
 	rep := HealthReport{Healthy: true, Windows: len(points)}
 	if len(points) == 0 {
@@ -161,35 +114,38 @@ func EvaluateHealth(samples []TSSample, cfg HealthConfig) HealthReport {
 	}
 	cur := &points[len(points)-1]
 
-	if a, ok := detectDrift(points, cfg); ok {
+	if a, ok := detectDrift(points); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
-	if a, ok := detectImbalance(cur, cfg); ok {
+	if a, ok := detectImbalance(cur); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
-	if a, ok := detectSpillGrowth(points, cfg); ok {
+	if a, ok := detectSpillGrowth(points); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
-	if a, ok := detectStalls(points, cfg); ok {
+	if a, ok := detectStalls(points); ok {
 		rep.Anomalies = append(rep.Anomalies, a)
 	}
 	rep.Healthy = len(rep.Anomalies) == 0
-	if cfg.TargetQueueDelay > 0 {
-		rep.RecommendedMaxQueued = RecommendMaxQueued(cur.EventsPerSec, cfg.TargetQueueDelay)
+	if targetQueueDelay > 0 {
+		rep.RecommendedMaxQueued = RecommendMaxQueued(cur.EventsPerSec, targetQueueDelay)
 	}
 	return rep
 }
 
 // detectDrift compares the newest window's queue-delay p99 against the
 // median p99 of the trailing windows that saw traffic.
-func detectDrift(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
+func detectDrift(points []TSPoint) (Anomaly, bool) {
 	cur := &points[len(points)-1]
-	if cur.QDelayP99Nanos == 0 || time.Duration(cur.QDelayP99Nanos) < cfg.DriftFloor {
+	// The p99 reads as its power-of-two bucket's upper bound, so the
+	// bucket starts at half of it: a p99 in the bucket straddling the
+	// floor is not yet a drift past it.
+	if time.Duration(cur.QDelayP99Nanos/2) < driftFloor {
 		return Anomaly{}, false
 	}
 	trailing := points[:len(points)-1]
-	if len(trailing) > cfg.BaselineWindows {
-		trailing = trailing[len(trailing)-cfg.BaselineWindows:]
+	if len(trailing) > baselineWindows {
+		trailing = trailing[len(trailing)-baselineWindows:]
 	}
 	var base []int64
 	for i := range trailing {
@@ -197,18 +153,18 @@ func detectDrift(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			base = append(base, trailing[i].QDelayP99Nanos)
 		}
 	}
-	if len(base) < cfg.MinBaselineWindows {
+	if len(base) < minBaselineWindows {
 		return Anomaly{}, false
 	}
 	baseline := medianInt64(base)
-	limit := float64(baseline) * cfg.DriftFactor
+	limit := float64(baseline) * driftFactor
 	if float64(cur.QDelayP99Nanos) <= limit {
 		return Anomaly{}, false
 	}
 	return Anomaly{
 		Kind: AnomalyQueueDelayDrift,
 		Detail: fmt.Sprintf("queue-delay p99 %v vs trailing median %v (factor %.1f)",
-			time.Duration(cur.QDelayP99Nanos), time.Duration(baseline), cfg.DriftFactor),
+			time.Duration(cur.QDelayP99Nanos), time.Duration(baseline), driftFactor),
 		Value:     float64(cur.QDelayP99Nanos),
 		Limit:     limit,
 		WallNanos: cur.WallNanos,
@@ -217,7 +173,7 @@ func detectDrift(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 
 // detectImbalance checks the newest window's per-core failed-steal +
 // backoff-park rates for one core towering over the rest.
-func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
+func detectImbalance(cur *TSPoint) (Anomaly, bool) {
 	if len(cur.Cores) < 2 {
 		return Anomaly{}, false
 	}
@@ -229,11 +185,11 @@ func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			maxRate, maxCore = r, i
 		}
 	}
-	if maxRate < cfg.ImbalanceFloor {
+	if maxRate < imbalanceFloor {
 		return Anomaly{}, false
 	}
 	others := (sum - maxRate) / float64(len(cur.Cores)-1)
-	limit := cfg.ImbalanceFactor * (others + 1)
+	limit := imbalanceFactor * (others + 1)
 	if maxRate <= limit {
 		return Anomaly{}, false
 	}
@@ -248,12 +204,12 @@ func detectImbalance(cur *TSPoint, cfg HealthConfig) (Anomaly, bool) {
 }
 
 // detectSpillGrowth fires on a monotonically growing disk backlog
-// across the most recent SpillGrowthWindows windows.
-func detectSpillGrowth(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
-	if len(points) < cfg.SpillGrowthWindows {
+// across the most recent spillGrowthWindows windows.
+func detectSpillGrowth(points []TSPoint) (Anomaly, bool) {
+	if len(points) < spillGrowthWindows {
 		return Anomaly{}, false
 	}
-	recent := points[len(points)-cfg.SpillGrowthWindows:]
+	recent := points[len(points)-spillGrowthWindows:]
 	prev := int64(-1)
 	for i := range recent {
 		if prev >= 0 && recent[i].SpilledNow <= prev {
@@ -267,16 +223,16 @@ func detectSpillGrowth(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 	return Anomaly{
 		Kind: AnomalySpillGrowth,
 		Detail: fmt.Sprintf("spill backlog grew %d consecutive windows to %d events on disk",
-			cfg.SpillGrowthWindows, cur.SpilledNow),
+			spillGrowthWindows, cur.SpilledNow),
 		Value:     float64(cur.SpilledNow),
-		Limit:     float64(cfg.SpillGrowthWindows),
+		Limit:     spillGrowthWindows,
 		WallNanos: cur.WallNanos,
 	}, true
 }
 
 // detectStalls fires when a core is stalled right now, or when stall
-// episodes reached StallRecurrence across the last StallWindows.
-func detectStalls(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
+// episodes reached stallRecurrence across the last stallWindows.
+func detectStalls(points []TSPoint) (Anomaly, bool) {
 	cur := &points[len(points)-1]
 	if cur.StalledCores > 0 {
 		return Anomaly{
@@ -288,8 +244,8 @@ func detectStalls(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 		}, true
 	}
 	recent := points
-	if len(recent) > cfg.StallWindows {
-		recent = recent[len(recent)-cfg.StallWindows:]
+	if len(recent) > stallWindows {
+		recent = recent[len(recent)-stallWindows:]
 	}
 	var episodes int64
 	for i := range recent {
@@ -297,7 +253,7 @@ func detectStalls(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 			episodes += recent[i].Stalls
 		}
 	}
-	if episodes < int64(cfg.StallRecurrence) {
+	if episodes < stallRecurrence {
 		return Anomaly{}, false
 	}
 	return Anomaly{
@@ -305,13 +261,13 @@ func detectStalls(points []TSPoint, cfg HealthConfig) (Anomaly, bool) {
 		Detail: fmt.Sprintf("%d stall episodes across the last %d windows",
 			episodes, len(recent)),
 		Value:     float64(episodes),
-		Limit:     float64(cfg.StallRecurrence),
+		Limit:     stallRecurrence,
 		WallNanos: cur.WallNanos,
 	}, true
 }
 
 func medianInt64(v []int64) int64 {
-	// Insertion sort: baselines are <= BaselineWindows entries.
+	// Insertion sort: baselines are <= baselineWindows entries.
 	for i := 1; i < len(v); i++ {
 		for j := i; j > 0 && v[j-1] > v[j]; j-- {
 			v[j-1], v[j] = v[j], v[j-1]

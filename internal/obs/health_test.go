@@ -47,7 +47,7 @@ func hasKind(rep HealthReport, kind string) bool {
 }
 
 func TestHealthyBaseline(t *testing.T) {
-	rep := EvaluateHealth(rampSamples(20, nil), HealthConfig{})
+	rep := EvaluateHealth(rampSamples(20, nil), 0)
 	if !rep.Healthy {
 		t.Fatalf("steady baseline unhealthy: %v", kinds(rep))
 	}
@@ -57,11 +57,11 @@ func TestHealthyBaseline(t *testing.T) {
 }
 
 func TestHealthEmptyAndSingleSample(t *testing.T) {
-	if rep := EvaluateHealth(nil, HealthConfig{}); !rep.Healthy || rep.Windows != 0 {
+	if rep := EvaluateHealth(nil, 0); !rep.Healthy || rep.Windows != 0 {
 		t.Fatalf("empty series: %+v", rep)
 	}
 	one := rampSamples(0, nil)
-	if rep := EvaluateHealth(one, HealthConfig{}); !rep.Healthy || rep.Windows != 0 {
+	if rep := EvaluateHealth(one, 0); !rep.Healthy || rep.Windows != 0 {
 		t.Fatalf("single sample: %+v", rep)
 	}
 }
@@ -74,7 +74,7 @@ func TestQueueDelayDriftDetector(t *testing.T) {
 			s.QDelay[24] = s.QDelay[6] // += a full window of slow samples
 		}
 	})
-	rep := EvaluateHealth(samples, HealthConfig{})
+	rep := EvaluateHealth(samples, 0)
 	if !hasKind(rep, AnomalyQueueDelayDrift) {
 		t.Fatalf("drift not detected: %v", kinds(rep))
 	}
@@ -98,9 +98,28 @@ func TestQueueDelayDriftDetector(t *testing.T) {
 			s.QDelay[8] = 100 // jump to ~64us, still < 2ms floor
 		}
 	})
-	rep = EvaluateHealth(quiet, HealthConfig{})
+	rep = EvaluateHealth(quiet, 0)
 	if hasKind(rep, AnomalyQueueDelayDrift) {
 		t.Fatalf("sub-floor drift fired: %v", kinds(rep))
+	}
+
+	// The floor is bucket-aligned: drift fires only when the whole p99
+	// bucket lies at or above 2ms. Bucket 13 ([1.05ms, 2.10ms))
+	// straddles the floor and must stay quiet; bucket 14 ([2.10ms,
+	// 4.19ms)) lies wholly past it and must fire.
+	for _, c := range []struct {
+		bucket int
+		fire   bool
+	}{{12, false}, {13, false}, {14, true}} {
+		jump := rampSamples(20, func(i int, s *TSSample) {
+			if i == 20 {
+				s.QDelay[c.bucket] = s.QDelay[6]
+			}
+		})
+		if got := hasKind(EvaluateHealth(jump, 0), AnomalyQueueDelayDrift); got != c.fire {
+			t.Errorf("p99 jump to bucket %d (up to %v): drift fired = %v, want %v",
+				c.bucket, time.Duration(LatencyUpperNanos(c.bucket)), got, c.fire)
+		}
 	}
 }
 
@@ -111,7 +130,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[0].FailedSteals += 50000
 		}
 	})
-	rep := EvaluateHealth(samples, HealthConfig{})
+	rep := EvaluateHealth(samples, 0)
 	if !hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("imbalance not detected: %v", kinds(rep))
 	}
@@ -123,7 +142,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[1].FailedSteals += 50000
 		}
 	})
-	rep = EvaluateHealth(even, HealthConfig{})
+	rep = EvaluateHealth(even, 0)
 	if hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("symmetric failed steals fired imbalance: %v", kinds(rep))
 	}
@@ -134,7 +153,7 @@ func TestStealImbalanceDetector(t *testing.T) {
 			s.Cores[0].FailedSteals += 500
 		}
 	})
-	rep = EvaluateHealth(tiny, HealthConfig{})
+	rep = EvaluateHealth(tiny, 0)
 	if hasKind(rep, AnomalyStealImbalance) {
 		t.Fatalf("sub-floor skew fired imbalance: %v", kinds(rep))
 	}
@@ -145,7 +164,7 @@ func TestSpillGrowthDetector(t *testing.T) {
 	samples := rampSamples(10, func(i int, s *TSSample) {
 		s.SpilledNow = int64(i) * 1000
 	})
-	rep := EvaluateHealth(samples, HealthConfig{})
+	rep := EvaluateHealth(samples, 0)
 	if !hasKind(rep, AnomalySpillGrowth) {
 		t.Fatalf("spill growth not detected: %v", kinds(rep))
 	}
@@ -154,7 +173,7 @@ func TestSpillGrowthDetector(t *testing.T) {
 	saw := rampSamples(10, func(i int, s *TSSample) {
 		s.SpilledNow = int64((i % 3) * 1000)
 	})
-	rep = EvaluateHealth(saw, HealthConfig{})
+	rep = EvaluateHealth(saw, 0)
 	if hasKind(rep, AnomalySpillGrowth) {
 		t.Fatalf("sawtooth backlog fired spill growth: %v", kinds(rep))
 	}
@@ -167,7 +186,7 @@ func TestStallDetector(t *testing.T) {
 			s.StalledCores = 1
 		}
 	})
-	rep := EvaluateHealth(now, HealthConfig{})
+	rep := EvaluateHealth(now, 0)
 	if !hasKind(rep, AnomalyStallRecurrence) {
 		t.Fatalf("live stall not detected: %v", kinds(rep))
 	}
@@ -181,7 +200,7 @@ func TestStallDetector(t *testing.T) {
 			s.Stalls = 2
 		}
 	})
-	rep = EvaluateHealth(recur, HealthConfig{})
+	rep = EvaluateHealth(recur, 0)
 	if !hasKind(rep, AnomalyStallRecurrence) {
 		t.Fatalf("stall recurrence not detected: %v", kinds(rep))
 	}
@@ -192,7 +211,7 @@ func TestStallDetector(t *testing.T) {
 			s.Stalls = 1
 		}
 	})
-	rep = EvaluateHealth(lone, HealthConfig{})
+	rep = EvaluateHealth(lone, 0)
 	if hasKind(rep, AnomalyStallRecurrence) {
 		t.Fatalf("single old stall fired recurrence: %v", kinds(rep))
 	}
@@ -226,11 +245,11 @@ func TestRecommendMaxQueued(t *testing.T) {
 
 func TestEvaluateHealthRecommendation(t *testing.T) {
 	samples := rampSamples(5, nil) // 10k events/s
-	rep := EvaluateHealth(samples, HealthConfig{TargetQueueDelay: 5 * time.Millisecond})
+	rep := EvaluateHealth(samples, 5*time.Millisecond)
 	if rep.RecommendedMaxQueued != 50 {
 		t.Fatalf("recommended = %d, want 50 (10k/s x 5ms)", rep.RecommendedMaxQueued)
 	}
-	rep = EvaluateHealth(samples, HealthConfig{})
+	rep = EvaluateHealth(samples, 0)
 	if rep.RecommendedMaxQueued != 0 {
 		t.Fatalf("recommended without target = %d, want 0", rep.RecommendedMaxQueued)
 	}

@@ -321,7 +321,7 @@ func TestMonotonicViolationsDisappearingSeries(t *testing.T) {
 }
 
 // TestRingSnapshotRacesWrap drives a tiny ring so hard that every
-// snapshot races slot reuse mid-wrap: the meta-word protocol must
+// snapshot races slot reuse mid-wrap: the sequence-stamp protocol must
 // never surface a torn record (mixed fields from two different
 // appends), checked here by the Ts==Arg invariant every writer
 // maintains. Run under -race this also proves the protocol is
@@ -354,4 +354,26 @@ func TestRingSnapshotRacesWrap(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRingStampWraps starts a ring two laps before its sequence stamp
+// wraps to zero and appends across the wrap: every record must still
+// be kept, in order, and a wrapped stamp must not read as an empty or
+// later slot.
+func TestRingStampWraps(t *testing.T) {
+	r := NewRing(64)
+	r.pos.Store(uint64(stampHalf-2) << r.lapShift) // lap 2^23-2
+	const total = 64*3 + 5
+	for i := 0; i < total; i++ {
+		r.Append(KindExec, int64(i), 1, uint64(i), 1)
+	}
+	evs := r.Snapshot(nil)
+	if len(evs) != 64 {
+		t.Fatalf("snapshot len = %d, want 64", len(evs))
+	}
+	for i, ev := range evs {
+		if want := int64(total - 64 + i); ev.Ts != want {
+			t.Fatalf("evs[%d].Ts = %d, want %d", i, ev.Ts, want)
+		}
+	}
 }

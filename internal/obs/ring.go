@@ -1,6 +1,9 @@
 package obs
 
-import "sync/atomic"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Kind tags a flight-recorder record with the runtime action it
 // captured. Values are stable — they appear in dumped traces and in
@@ -84,13 +87,22 @@ type Event struct {
 	Kind   Kind
 }
 
-// slot holds one record as independent atomics. Appends under a
-// concurrent Snapshot can tear across fields; the meta word is
-// invalidated first and written last so a torn read usually surfaces as
-// KindNone and gets skipped. The residual window (reader loads meta,
-// writer laps the whole ring, reader loads fields) only mixes two valid
-// records' fields — tolerable for a flight recorder, and filtered
-// further by the decode-time sanity checks in chrome.go.
+// slot holds one record as independent atomics. The top bits of meta
+// are a sequence stamp guarding the other fields: a writer claims an
+// empty slot, or one stamped with an earlier lap, for ring position p
+// by CAS-ing the stamp to the odd value
+// 2·lap+1 (lap = p / ring size), stores the fields, and publishes the
+// even value 2·lap+2 together with kind and n. A reader keeps a record
+// only if meta carries the even stamp of the position it expects both
+// before and after reading the fields: whatever lapped the ring or
+// raced for the slot in between changed meta. A writer that finds the
+// slot claimed (another writer mid-record) or stamped with a later lap
+// drops its record — a lost record is tolerable for a flight recorder,
+// a torn one is not. Like a seqlock counter the stamp wraps (after
+// 2^23 laps), so only a reader stalled between its two loads while one
+// ring takes that many laps of appends could accept a mixed record.
+// Packing the stamp into meta keeps a slot at seven words, which
+// matters: every runtime allocates Config.TraceRing slots per core.
 type slot struct {
 	ts     atomic.Int64
 	dur    atomic.Int64
@@ -98,17 +110,25 @@ type slot struct {
 	trace  atomic.Uint64
 	span   atomic.Uint64
 	parent atomic.Uint64
-	meta   atomic.Uint64 // kind | uint64(n)<<8
+	meta   atomic.Uint64 // kind | uint64(n)<<8 | stamp<<stampShift
 }
 
+const (
+	stampShift = 40
+	stampMask  = 1<<(64-stampShift) - 1
+	// stampHalf splits the stamp circle into earlier and later laps.
+	stampHalf = 1 << (63 - stampShift)
+)
+
 // Ring is a fixed-size lock-free flight-recorder buffer. Appends are a
-// fetch-add plus a handful of atomic stores — cheap enough to leave on
-// in production. One Ring belongs to one core (plus one shared auxiliary
-// ring for off-core actions: spill, reload, poll wakeups).
+// fetch-add, one CAS and a handful of atomic stores — cheap enough to
+// leave on in production. One Ring belongs to one core (plus one shared
+// auxiliary ring for off-core actions: spill, reload, poll wakeups).
 type Ring struct {
-	mask  uint64
-	pos   atomic.Uint64
-	slots []slot
+	mask     uint64
+	lapShift int // log2 of the slot count
+	pos      atomic.Uint64
+	slots    []slot
 }
 
 // NewRing returns a ring holding size records, rounded up to a power
@@ -118,8 +138,11 @@ func NewRing(size int) *Ring {
 	for n < size {
 		n <<= 1
 	}
-	return &Ring{mask: uint64(n - 1), slots: make([]slot, n)}
+	return &Ring{mask: uint64(n - 1), lapShift: bits.TrailingZeros(uint(n)), slots: make([]slot, n)}
 }
+
+// stamp is the published sequence stamp of ring position p.
+func (r *Ring) stamp(p uint64) uint64 { return (2*(p>>r.lapShift) + 2) & stampMask }
 
 // Cap is the ring's slot count.
 func (r *Ring) Cap() int { return len(r.slots) }
@@ -132,23 +155,34 @@ func (r *Ring) Append(k Kind, ts, dur int64, arg uint64, n uint32) {
 
 // AppendFlow is Append carrying the causal-flow identifiers: the
 // record's trace id, its own span id, and the span that caused it
-// (zero when unknown). The ids ride the same invalidate-first meta
-// protocol as the other fields, so a torn read still surfaces as
-// KindNone and is skipped.
+// (zero when unknown). The ids ride the same sequence-stamp protocol
+// as the other fields (see slot).
 func (r *Ring) AppendFlow(k Kind, ts, dur int64, arg uint64, n uint32, trace, span, parent uint64) {
-	s := &r.slots[(r.pos.Add(1)-1)&r.mask]
-	s.meta.Store(0)
+	p := r.pos.Add(1) - 1
+	s := &r.slots[p&r.mask]
+	done := r.stamp(p)
+	for {
+		old := s.meta.Load()
+		st := old >> stampShift
+		if d := (done - st) & stampMask; st&1 != 0 || (old != 0 && (d == 0 || d >= stampHalf)) {
+			return // another writer holds the slot, or a later lap does
+		}
+		if s.meta.CompareAndSwap(old, ((done-1)&stampMask)<<stampShift) {
+			break
+		}
+	}
 	s.ts.Store(ts)
 	s.dur.Store(dur)
 	s.arg.Store(arg)
 	s.trace.Store(trace)
 	s.span.Store(span)
 	s.parent.Store(parent)
-	s.meta.Store(uint64(k) | uint64(n)<<8)
+	s.meta.Store(uint64(k) | uint64(n)<<8 | done<<stampShift)
 }
 
 // Snapshot decodes the ring's current contents oldest-first, appending
-// to dst. Records being overwritten mid-read are dropped; see slot.
+// to dst. Records being written or overwritten mid-read are dropped;
+// see slot.
 func (r *Ring) Snapshot(dst []Event) []Event {
 	end := r.pos.Load()
 	n := uint64(len(r.slots))
@@ -159,8 +193,7 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 	for i := start; i < end; i++ {
 		s := &r.slots[i&r.mask]
 		m := s.meta.Load()
-		k := Kind(m & 0xff)
-		if k == KindNone || k >= numKinds {
+		if m>>stampShift != r.stamp(i) {
 			continue
 		}
 		ev := Event{
@@ -171,12 +204,12 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 			Span:   s.span.Load(),
 			Parent: s.parent.Load(),
 			N:      uint32(m >> 8),
-			Kind:   k,
+			Kind:   Kind(m & 0xff),
 		}
 		if s.meta.Load() != m {
 			continue
 		}
-		if ev.Ts < 0 || ev.Dur < 0 {
+		if ev.Kind == KindNone || ev.Kind >= numKinds || ev.Ts < 0 || ev.Dur < 0 {
 			continue
 		}
 		dst = append(dst, ev)

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -197,22 +198,27 @@ func TestTimeSeriesWriteJSON(t *testing.T) {
 	}
 }
 
-func TestLastRates(t *testing.T) {
+func TestLastPoint(t *testing.T) {
 	ts := NewTimeSeries(8, 1, time.Second)
-	if ts.LastRates().Valid {
-		t.Fatal("LastRates valid with <2 samples")
+	if p := ts.LastPoint(); !reflect.DeepEqual(p, TSPoint{}) {
+		t.Fatalf("LastPoint with <2 samples = %+v, want zero", p)
 	}
 	a := sampleAt(0, 0, 1)
 	ts.Append(&a)
 	b := sampleAt(1e9, 2500, 1)
 	b.SpilledBytes = 1 << 20
 	ts.Append(&b)
-	r := ts.LastRates()
-	if !r.Valid {
-		t.Fatal("LastRates not valid with 2 samples")
+	c := sampleAt(3e9, 6500, 1)
+	c.SpilledBytes = 1 << 20
+	ts.Append(&c)
+	p := ts.LastPoint()
+	// The newest window only: (6500-2500)/2s, no new spill bytes.
+	if p.EventsPerSec != 2000 || p.SpillBytesPerSec != 0 || p.WindowSeconds != 2 {
+		t.Fatalf("last point = %v events/s, %v bytes/s over %vs; want 2000, 0, 2",
+			p.EventsPerSec, p.SpillBytesPerSec, p.WindowSeconds)
 	}
-	if r.EventsPerSec != 2500 || r.SpillBytesPerSec != float64(1<<20) {
-		t.Fatalf("rates = %v events/s, %v bytes/s; want 2500, %d",
-			r.EventsPerSec, r.SpillBytesPerSec, 1<<20)
+	want := DerivePoints(ts.Snapshot(nil))
+	if last := want[len(want)-1]; !reflect.DeepEqual(p, last) {
+		t.Fatalf("LastPoint %+v differs from DerivePoints' last %+v", p, last)
 	}
 }

@@ -246,7 +246,7 @@ func (r *Runtime) stallWatchdog() {
 
 // noteStall records one fresh stall episode on core c.
 func (r *Runtime) noteStall(c *rcore, now, elapsed int64) {
-	c.stats.stalls.Add(1)
+	c.stats.ctr[ctrStalls].Add(1)
 	if r.ringAux != nil {
 		r.ringAux.AppendFlow(obs.KindStall, now, elapsed, uint64(c.id),
 			uint32(c.execHandler.Load()), c.execTrace.Load(), c.execSpan.Load(), 0)
@@ -256,11 +256,6 @@ func (r *Runtime) noteStall(c *rcore, now, elapsed int64) {
 	r.stallMu.Lock()
 	r.lastStallStack = buf
 	r.stallMu.Unlock()
-	if p := r.cfg.StallDumpPath; p != "" {
-		// Automatic flight-recorder dump: the trace context around the
-		// stall survives even if the operator has to kill the process.
-		_ = obs.DumpToFile(p, r.DumpTrace)
-	}
 	if r.cfg.IncidentDir != "" {
 		// Profile-on-anomaly unification: a stall episode captures the
 		// same evidence bundle the health engine's detectors do, under
@@ -301,48 +296,13 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 
 	coreLabel := func(i int) string { return `core="` + strconv.Itoa(i) + `"` }
 
-	counter := func(name, help string, get func(CoreStats) float64) {
-		m.Family(name, "counter", help)
-		for i, c := range s.Cores {
-			m.Sample(name, coreLabel(i), get(c))
+	for k := range coreCounters {
+		cc := &coreCounters[k]
+		m.Family(cc.name, "counter", cc.help)
+		for i := range s.Cores {
+			m.Sample(cc.name, coreLabel(i), cc.value(*cc.field(&s.Cores[i])))
 		}
 	}
-	counter("mely_events_total", "Events executed, per core.",
-		func(c CoreStats) float64 { return float64(c.Events) })
-	counter("mely_exec_seconds_total", "Total handler execution time, per core.",
-		func(c CoreStats) float64 { return c.ExecTime.Seconds() })
-	counter("mely_steals_total", "Successful steals performed by this core.",
-		func(c CoreStats) float64 { return float64(c.Steals) })
-	counter("mely_remote_steals_total", "Steals that crossed a cache boundary.",
-		func(c CoreStats) float64 { return float64(c.RemoteSteals) })
-	counter("mely_steal_attempts_total", "Steal probes, including failures.",
-		func(c CoreStats) float64 { return float64(c.StealAttempts) })
-	counter("mely_failed_steals_total", "Steal probes that found nothing.",
-		func(c CoreStats) float64 { return float64(c.FailedSteals) })
-	counter("mely_steal_seconds_total", "Time spent in successful steal transactions.",
-		func(c CoreStats) float64 { return c.StealTime.Seconds() })
-	counter("mely_stolen_events_total", "Migrated events executed on this core.",
-		func(c CoreStats) float64 { return float64(c.StolenEvents) })
-	counter("mely_stolen_seconds_total", "Handler time of migrated events (stolen time).",
-		func(c CoreStats) float64 { return c.StolenTime.Seconds() })
-	counter("mely_stolen_colors_total", "Colors migrated here by this core's steals.",
-		func(c CoreStats) float64 { return float64(c.StolenColors) })
-	counter("mely_parks_total", "Idle worker sleeps.",
-		func(c CoreStats) float64 { return float64(c.Parks) })
-	counter("mely_backoff_parks_total", "Parks shortened by the steal-throttling backoff.",
-		func(c CoreStats) float64 { return float64(c.BackoffParks) })
-	counter("mely_posted_here_total", "Enqueues landing on this core.",
-		func(c CoreStats) float64 { return float64(c.PostedHere) })
-	counter("mely_batched_events_total", "Events delivered through PostBatch core groups.",
-		func(c CoreStats) float64 { return float64(c.BatchedEvents) })
-	counter("mely_color_queue_churns_total", "ColorQueue link/unlink pairs.",
-		func(c CoreStats) float64 { return float64(c.ColorQueueChurns) })
-	counter("mely_panics_total", "Handler panics contained by the worker.",
-		func(c CoreStats) float64 { return float64(c.Panics) })
-	counter("mely_timers_fired_total", "Timers expired by this core's wheel.",
-		func(c CoreStats) float64 { return float64(c.TimersFired) })
-	counter("mely_stalls_total", "Stall-watchdog episodes (handler exceeded StallThreshold).",
-		func(c CoreStats) float64 { return float64(c.Stalls) })
 
 	m.Family("mely_queue_length", "gauge", "Instantaneous per-core queue length.")
 	for i, c := range s.Cores {
@@ -357,7 +317,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	// sum is exact (StolenColors), the count is Steals.
 	m.Family("mely_steal_batch_colors", "histogram",
 		"Colors migrated per successful steal, per core.")
-	stealUppers := []float64{1, 2, 4, 8, 16}
+	stealUppers := stealBatchEdges.uppers(1)
 	for i, c := range s.Cores {
 		m.Histogram("mely_steal_batch_colors", coreLabel(i),
 			stealUppers, c.StealBatchHist[:], float64(c.StolenColors))
@@ -368,7 +328,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	// exact at bucket resolution).
 	m.Family("mely_timer_lag_seconds", "histogram",
 		"Timer firing lag (harvest minus deadline), per core; _sum not tracked (0).")
-	timerUppers := []float64{100e-6, 1e-3, 2e-3, 10e-3, 100e-3}
+	timerUppers := timerLagEdges.uppers(1e9)
 	for i, c := range s.Cores {
 		m.Histogram("mely_timer_lag_seconds", coreLabel(i),
 			timerUppers, c.TimerLagHist[:], 0)
@@ -432,7 +392,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	m.Family("mely_poll_batch_events", "histogram",
 		"Readiness events harvested per poll wakeup.")
 	m.Histogram("mely_poll_batch_events", "",
-		[]float64{1, 4, 16, 64, 256}, s.PollBatchHist[:], float64(s.PollEvents))
+		pollBatchEdges.uppers(1), s.PollBatchHist[:], float64(s.PollEvents))
 	single("mely_write_stalls_total", "counter",
 		"Writes queued on kernel backpressure.", float64(s.WriteStalls))
 	single("mely_read_pauses_total", "counter",
@@ -457,7 +417,7 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	m.Family("mely_spill_depth_records", "histogram",
 		"Per-color disk depth observed at each spill append; _sum not tracked (0).")
 	m.Histogram("mely_spill_depth_records", "",
-		[]float64{16, 64, 256, 1024, 4096}, s.SpillDepthHist[:], 0)
+		spillDepthEdges.uppers(1), s.SpillDepthHist[:], 0)
 	single("mely_spill_syncs_total", "counter",
 		"msync/fsync durability points issued by the spill store.", float64(s.SpillSyncs))
 	single("mely_recovered_events_total", "counter",
@@ -469,25 +429,25 @@ func (r *Runtime) WriteMetrics(w io.Writer) error {
 	// is armed (Config.ObsInterval > 0) so a process either always or
 	// never exposes them — scrapers see a stable series set.
 	if col := r.collector; col != nil {
-		rates := col.ring.LastRates()
+		last := col.ring.LastPoint()
 		single("mely_events_rate", "gauge",
 			"Events executed per second over the last collector window.",
-			rates.EventsPerSec)
+			last.EventsPerSec)
 		single("mely_posts_rate", "gauge",
 			"Events posted per second over the last collector window.",
-			rates.PostsPerSec)
+			last.PostsPerSec)
 		single("mely_steals_rate", "gauge",
 			"Successful steals per second over the last collector window.",
-			rates.StealsPerSec)
+			last.StealsPerSec)
 		single("mely_spill_events_rate", "gauge",
 			"Events spilled to disk per second over the last collector window.",
-			rates.SpillEventsPerSec)
+			last.SpillEventsPerSec)
 		single("mely_spill_bytes_rate", "gauge",
 			"Bytes spilled to disk per second over the last collector window.",
-			rates.SpillBytesPerSec)
+			last.SpillBytesPerSec)
 		single("mely_queue_delay_window_p99_seconds", "gauge",
 			"Queue-delay p99 of the last collector window (sampled).",
-			rates.QDelayP99.Seconds())
+			time.Duration(last.QDelayP99Nanos).Seconds())
 		rep := r.Health()
 		hv := 0.0
 		if rep.Healthy {

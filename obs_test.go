@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"os"
 	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -433,4 +435,43 @@ func TestStatsTotalAggregatesEveryField(t *testing.T) {
 		}
 	}
 	check("", reflect.ValueOf(total))
+}
+
+// TestMetricsInventoryDocumented keeps docs/observability.md's metric
+// inventory honest: with the collector armed (so the rate and health
+// families render too), the set of families WriteMetrics emits must
+// equal the set of backticked mely_* names the doc mentions — an
+// undocumented family or a documented name that no longer exists
+// fails with its name.
+func TestMetricsInventoryDocumented(t *testing.T) {
+	r := newRuntime(t, Config{Cores: 2, ObsInterval: time.Hour})
+	defer r.Close()
+	var buf bytes.Buffer
+	if err := r.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+			emitted[f[2]] = true
+		}
+	}
+	doc, err := os.ReadFile("docs/observability.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("`(mely_[a-z0-9_]+)`").FindAllStringSubmatch(string(doc), -1) {
+		documented[m[1]] = true
+	}
+	for name := range emitted {
+		if !documented[name] {
+			t.Errorf("%s is emitted but not documented in docs/observability.md", name)
+		}
+	}
+	for name := range documented {
+		if !emitted[name] {
+			t.Errorf("%s is documented in docs/observability.md but not emitted", name)
+		}
+	}
 }

@@ -947,7 +947,7 @@ func (a *admission) appendRecord(color equeue.Color, rec spillq.Record) error {
 		return err
 	}
 	a.spilled.Add(1)
-	a.depthHist[spillDepthBucket(st.disk)].Add(1)
+	a.depthHist[spillDepthEdges.bucket(st.disk)].Add(1)
 	a.r.traceAuxFlow(obs.KindSpill, 0, uint64(color), uint32(clampUint32(st.disk)), rec.TraceID, rec.SpanID, rec.ParentSpan)
 	disk, cost := st.disk, st.diskCost
 	var doReload bool
@@ -979,30 +979,6 @@ func weightedSpillCost(cost int64, penalty int32) int64 {
 		w = 1
 	}
 	return w
-}
-
-// SpillDepthBuckets is the length of the spill-depth histogram in
-// Stats.SpillDepthHist; see that field for the bucket boundaries.
-const SpillDepthBuckets = 6
-
-// spillDepthBucket maps a color's on-disk backlog depth, observed at
-// each spill append, to its histogram bucket:
-// ≤16, ≤64, ≤256, ≤1024, ≤4096, >4096 records.
-func spillDepthBucket(d int64) int {
-	switch {
-	case d <= 16:
-		return 0
-	case d <= 64:
-		return 1
-	case d <= 256:
-		return 2
-	case d <= 1024:
-		return 3
-	case d <= 4096:
-		return 4
-	default:
-		return 5
-	}
 }
 
 // spillPost routes one disk-admitted external post: encode, count,

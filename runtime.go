@@ -69,28 +69,12 @@ type handlerEntry struct {
 }
 
 // rstats are per-core counters, atomics so Stats can snapshot while
-// workers run.
+// workers run. The scalar counters live in ctr, indexed by the ctr*
+// constants and described by the coreCounters table (stats.go).
 type rstats struct {
-	events           atomic.Int64
-	execNanos        atomic.Int64
-	steals           atomic.Int64
-	remoteSteals     atomic.Int64
-	stealAttempts    atomic.Int64
-	failedSteals     atomic.Int64
-	stealNanos       atomic.Int64
-	stolenEvents     atomic.Int64
-	stolenExecNanos  atomic.Int64
-	stolenColors     atomic.Int64
-	batchHist        [StealBatchBuckets]atomic.Int64
-	backoffParks     atomic.Int64
-	parks            atomic.Int64
-	postedHere       atomic.Int64
-	batchedEvents    atomic.Int64
-	colorQueueChurns atomic.Int64
-	panics           atomic.Int64
-	stalls           atomic.Int64
-	timersFired      atomic.Int64
-	timerLagHist     [TimerLagBuckets]atomic.Int64
+	ctr          [numCoreCounters]atomic.Int64
+	batchHist    [StealBatchBuckets]atomic.Int64
+	timerLagHist [TimerLagBuckets]atomic.Int64
 	// Sampled latency histograms (Config.ObsSampleRate): queue delay
 	// (post→execute) and handler execution time.
 	qdelayHist   obs.Hist
@@ -707,7 +691,7 @@ func (r *Runtime) enqueue(ev *equeue.Event) {
 			c.stealLen.Store(int32(c.mely.Stealing().Len()))
 		}
 		c.syncDiskLen()
-		c.stats.postedHere.Add(1)
+		c.stats.ctr[ctrPostedHere].Add(1)
 		if ev.PostNanos != 0 && ev.SpanID != 0 && c.ring != nil {
 			c.ring.AppendFlow(obs.KindPost, ev.PostNanos, 0, uint64(ev.Color), uint32(ev.Handler),
 				ev.TraceID, ev.SpanID, ev.ParentSpan)
@@ -754,7 +738,7 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 			c.mely.ReleaseColorQueue(fresh)
 		}
 		if c.mely.Push(cq, ev) {
-			c.stats.colorQueueChurns.Add(1)
+			c.stats.ctr[ctrColorQueueChurns].Add(1)
 		}
 		return cq, true
 	} else {
@@ -795,7 +779,7 @@ func (r *Runtime) deliverLocked(c *rcore, owner int, ev *equeue.Event) (*equeue.
 			r.table.SetQueue(ev.Color, cq)
 		}
 		if c.mely.Push(cq, ev) {
-			c.stats.colorQueueChurns.Add(1)
+			c.stats.ctr[ctrColorQueueChurns].Add(1)
 		}
 		return cq, true
 	}
@@ -854,7 +838,7 @@ func (r *Runtime) worker(c *rcore) {
 			}
 			if bd < d {
 				d = bd
-				c.stats.backoffParks.Add(1)
+				c.stats.ctr[ctrBackoffParks].Add(1)
 			}
 		}
 		// Sleep no longer than the wheel's next expiry: the park is the
@@ -862,7 +846,7 @@ func (r *Runtime) worker(c *rcore) {
 		if d = r.timerParkBound(c, d); d <= 0 {
 			continue // a timer is already due; harvest instead of parking
 		}
-		c.stats.parks.Add(1)
+		c.stats.ctr[ctrParks].Add(1)
 		c.park(d)
 	}
 }
@@ -893,7 +877,7 @@ func (r *Runtime) popLocal(c *rcore) []*equeue.Event {
 		if emptied != nil {
 			r.table.ClearQueue(emptied.Color(), emptied)
 			c.mely.ReleaseColorQueue(emptied)
-			c.stats.colorQueueChurns.Add(1)
+			c.stats.ctr[ctrColorQueueChurns].Add(1)
 		}
 		c.qlen.Store(int32(c.mely.Len()))
 		c.stealLen.Store(int32(c.mely.Stealing().Len()))
@@ -974,11 +958,11 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event, start int64) (end int64) {
 	if p := r.profiles.Handler(int(ev.Handler)); c.profileDue() || p.Estimate() == 0 {
 		p.Observe(elapsed)
 	}
-	c.stats.events.Add(1)
-	c.stats.execNanos.Add(elapsed)
+	c.stats.ctr[ctrEvents].Add(1)
+	c.stats.ctr[ctrExecNanos].Add(elapsed)
 	if ev.Stolen {
-		c.stats.stolenEvents.Add(1)
-		c.stats.stolenExecNanos.Add(elapsed)
+		c.stats.ctr[ctrStolenEvents].Add(1)
+		c.stats.ctr[ctrStolenNanos].Add(elapsed)
 	}
 	if ev.PostNanos != 0 || ev.SpanID != 0 {
 		r.observeExec(c, ev, start, elapsed)
@@ -1007,7 +991,7 @@ func (r *Runtime) execute(c *rcore, ev *equeue.Event, start int64) (end int64) {
 func runHandler(entry *handlerEntry, ctx *Ctx, stats *rstats) {
 	defer func() {
 		if recover() != nil {
-			stats.panics.Add(1)
+			stats.ctr[ctrPanics].Add(1)
 		}
 	}()
 	entry.fn(ctx)
@@ -1126,7 +1110,7 @@ func (v rcoreView) Stealing() *equeue.StealingQueue {
 // the configured heuristics) and reports whether work was migrated.
 func (r *Runtime) stealOnce(c *rcore) bool {
 	c.clearRunning()
-	c.stats.stealAttempts.Add(1)
+	c.stats.ctr[ctrStealAttempts].Add(1)
 	start := r.now()
 
 	// Rank victims by effective depth: in-memory events plus the
@@ -1250,13 +1234,13 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 			c.ring.Append(obs.KindSteal, start, dt,
 				uint64(vid), uint32(len(colors)))
 		}
-		c.stats.steals.Add(1)
-		c.stats.stolenColors.Add(int64(len(colors)))
-		c.stats.batchHist[stealBatchBucket(len(colors))].Add(1)
+		c.stats.ctr[ctrSteals].Add(1)
+		c.stats.ctr[ctrStolenColors].Add(int64(len(colors)))
+		c.stats.batchHist[stealBatchEdges.bucket(int64(len(colors)))].Add(1)
 		if !r.topo.SharesCache(c.id, vid) {
-			c.stats.remoteSteals.Add(1)
+			c.stats.ctr[ctrRemoteSteals].Add(1)
 		}
-		c.stats.stealNanos.Add(dt)
+		c.stats.ctr[ctrStealNanos].Add(dt)
 		r.stealMon.Observe(dt)
 		if len(colors) > 1 && len(r.cores) > 2 {
 			// The batch brought home more colors than one worker can
@@ -1274,7 +1258,7 @@ func (r *Runtime) stealOnce(c *rcore) bool {
 		return true
 	}
 
-	c.stats.failedSteals.Add(1)
+	c.stats.ctr[ctrFailedSteals].Add(1)
 	return false
 }
 

@@ -78,75 +78,148 @@ func (c ColorDelay) Mean() time.Duration {
 // queue-delay attribution table (CoreStats.TopColorDelays).
 const ColorTopK = 8
 
-// StealBatchBuckets is the length of the steal batch-size histogram in
-// CoreStats.StealBatchHist; see that field for the bucket boundaries.
-const StealBatchBuckets = 6
+// bucketEdges are the inclusive upper edges of a small fixed
+// histogram: a value lands in the first bucket whose edge it does not
+// exceed, or in the overflow bucket past the last edge.
+type bucketEdges [5]int64
 
-// stealBatchBucket maps a steal's color count to its histogram bucket:
-// 1, 2, 3–4, 5–8, 9–16, ≥17.
-func stealBatchBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n == 2:
-		return 1
-	case n <= 4:
-		return 2
-	case n <= 8:
-		return 3
-	case n <= 16:
-		return 4
-	default:
-		return 5
+// histBuckets is the length of every bucketEdges histogram.
+const histBuckets = len(bucketEdges{}) + 1
+
+// bucket maps v to its bucket index.
+func (e *bucketEdges) bucket(v int64) int {
+	for i, edge := range e {
+		if v <= edge {
+			return i
+		}
 	}
+	return len(e)
 }
 
-// TimerLagBuckets is the length of the firing-lag histogram in
-// CoreStats.TimerLagHist; see that field for the bucket boundaries.
-const TimerLagBuckets = 6
-
-// timerLagBucket maps a firing lag (harvest time minus deadline) to its
-// histogram bucket: ≤100µs, ≤1ms, ≤2ms, ≤10ms, ≤100ms, >100ms.
-func timerLagBucket(lagNanos int64) int {
-	switch {
-	case lagNanos <= 100_000:
-		return 0
-	case lagNanos <= 1_000_000:
-		return 1
-	case lagNanos <= 2_000_000:
-		return 2
-	case lagNanos <= 10_000_000:
-		return 3
-	case lagNanos <= 100_000_000:
-		return 4
-	default:
-		return 5
+// uppers renders the edges as exposition le bounds, each divided by
+// unit (1e9 turns nanoseconds into seconds; dividing, not multiplying
+// by 1e-9, keeps the bounds the exact decimal values).
+func (e *bucketEdges) uppers(unit float64) []float64 {
+	out := make([]float64, len(e))
+	for i, edge := range e {
+		out[i] = float64(edge) / unit
 	}
+	return out
 }
 
-// PollBatchBuckets is the length of the poll batch-size histogram in
-// Stats.PollBatchHist; see that field for the bucket boundaries.
-const PollBatchBuckets = 6
+// The bucketEdges histograms' edge tables.
+var (
+	// stealBatchEdges bins colors per steal: 1, 2, 3–4, 5–8, 9–16, ≥17.
+	stealBatchEdges = bucketEdges{1, 2, 4, 8, 16}
+	// timerLagEdges bins firing lag (harvest time minus deadline), in
+	// nanoseconds: ≤100µs, ≤1ms, ≤2ms, ≤10ms, ≤100ms, >100ms.
+	timerLagEdges = bucketEdges{100_000, 1_000_000, 2_000_000, 10_000_000, 100_000_000}
+	// pollBatchEdges bins events per poll wakeup: ≤1, 2–4, 5–16, 17–64,
+	// 65–256, >256.
+	pollBatchEdges = bucketEdges{1, 4, 16, 64, 256}
+	// spillDepthEdges bins a color's on-disk depth, observed at each
+	// spill append: ≤16, ≤64, ≤256, ≤1024, ≤4096, >4096 records.
+	spillDepthEdges = bucketEdges{16, 64, 256, 1024, 4096}
+)
+
+// StealBatchBuckets, TimerLagBuckets, PollBatchBuckets and
+// SpillDepthBuckets are the lengths of CoreStats.StealBatchHist,
+// CoreStats.TimerLagHist, Stats.PollBatchHist and Stats.SpillDepthHist;
+// see those fields for the bucket boundaries.
+const (
+	StealBatchBuckets = histBuckets
+	TimerLagBuckets   = histBuckets
+	PollBatchBuckets  = histBuckets
+	SpillDepthBuckets = histBuckets
+)
 
 // PollBatchBucket maps a poll wakeup's harvested-event count to its
-// histogram bucket: ≤1, 2–4, 5–16, 17–64, 65–256, >256. Exported so
-// readiness backends (internal/netpoll) bin with the same boundaries
-// Stats reports.
-func PollBatchBucket(n int) int {
-	switch {
-	case n <= 1:
-		return 0
-	case n <= 4:
-		return 1
-	case n <= 16:
-		return 2
-	case n <= 64:
-		return 3
-	case n <= 256:
-		return 4
-	default:
-		return 5
+// Stats.PollBatchHist bucket. Exported so readiness backends
+// (internal/netpoll) bin with the same boundaries Stats reports.
+func PollBatchBucket(n int) int { return pollBatchEdges.bucket(int64(n)) }
+
+// Indexes of the per-core scalar counters in rstats.ctr, in the order
+// WriteMetrics renders them.
+const (
+	ctrEvents = iota
+	ctrExecNanos
+	ctrSteals
+	ctrRemoteSteals
+	ctrStealAttempts
+	ctrFailedSteals
+	ctrStealNanos
+	ctrStolenEvents
+	ctrStolenNanos
+	ctrStolenColors
+	ctrParks
+	ctrBackoffParks
+	ctrPostedHere
+	ctrBatchedEvents
+	ctrColorQueueChurns
+	ctrPanics
+	ctrTimersFired
+	ctrStalls
+	numCoreCounters
+)
+
+// coreCounter describes one per-core scalar counter: its exposition
+// name and help, whether it counts nanoseconds (CoreStats holds a
+// time.Duration, the exposition seconds), and its CoreStats field.
+type coreCounter struct {
+	name     string
+	help     string
+	duration bool
+	field    func(*CoreStats) *int64
+}
+
+// value renders a counter reading in its exposition unit.
+func (cc *coreCounter) value(n int64) float64 {
+	if cc.duration {
+		return time.Duration(n).Seconds()
 	}
+	return float64(n)
+}
+
+// coreCounters is the per-core counter inventory: adding a counter is
+// a CoreStats field, a ctr* constant, a row here, and its increment
+// site. Stats, Total and WriteMetrics loop over this table.
+var coreCounters = [numCoreCounters]coreCounter{
+	ctrEvents: {"mely_events_total", "Events executed, per core.", false,
+		func(c *CoreStats) *int64 { return &c.Events }},
+	ctrExecNanos: {"mely_exec_seconds_total", "Total handler execution time, per core.", true,
+		func(c *CoreStats) *int64 { return (*int64)(&c.ExecTime) }},
+	ctrSteals: {"mely_steals_total", "Successful steals performed by this core.", false,
+		func(c *CoreStats) *int64 { return &c.Steals }},
+	ctrRemoteSteals: {"mely_remote_steals_total", "Steals that crossed a cache boundary.", false,
+		func(c *CoreStats) *int64 { return &c.RemoteSteals }},
+	ctrStealAttempts: {"mely_steal_attempts_total", "Steal probes, including failures.", false,
+		func(c *CoreStats) *int64 { return &c.StealAttempts }},
+	ctrFailedSteals: {"mely_failed_steals_total", "Steal probes that found nothing.", false,
+		func(c *CoreStats) *int64 { return &c.FailedSteals }},
+	ctrStealNanos: {"mely_steal_seconds_total", "Time spent in successful steal transactions.", true,
+		func(c *CoreStats) *int64 { return (*int64)(&c.StealTime) }},
+	ctrStolenEvents: {"mely_stolen_events_total", "Migrated events executed on this core.", false,
+		func(c *CoreStats) *int64 { return &c.StolenEvents }},
+	ctrStolenNanos: {"mely_stolen_seconds_total", "Handler time of migrated events (stolen time).", true,
+		func(c *CoreStats) *int64 { return (*int64)(&c.StolenTime) }},
+	ctrStolenColors: {"mely_stolen_colors_total", "Colors migrated here by this core's steals.", false,
+		func(c *CoreStats) *int64 { return &c.StolenColors }},
+	ctrParks: {"mely_parks_total", "Idle worker sleeps.", false,
+		func(c *CoreStats) *int64 { return &c.Parks }},
+	ctrBackoffParks: {"mely_backoff_parks_total", "Parks shortened by the steal-throttling backoff.", false,
+		func(c *CoreStats) *int64 { return &c.BackoffParks }},
+	ctrPostedHere: {"mely_posted_here_total", "Enqueues landing on this core.", false,
+		func(c *CoreStats) *int64 { return &c.PostedHere }},
+	ctrBatchedEvents: {"mely_batched_events_total", "Events delivered through PostBatch core groups.", false,
+		func(c *CoreStats) *int64 { return &c.BatchedEvents }},
+	ctrColorQueueChurns: {"mely_color_queue_churns_total", "ColorQueue link/unlink pairs.", false,
+		func(c *CoreStats) *int64 { return &c.ColorQueueChurns }},
+	ctrPanics: {"mely_panics_total", "Handler panics contained by the worker.", false,
+		func(c *CoreStats) *int64 { return &c.Panics }},
+	ctrTimersFired: {"mely_timers_fired_total", "Timers expired by this core's wheel.", false,
+		func(c *CoreStats) *int64 { return &c.TimersFired }},
+	ctrStalls: {"mely_stalls_total", "Stall-watchdog episodes (handler exceeded StallThreshold).", false,
+		func(c *CoreStats) *int64 { return &c.Stalls }},
 }
 
 // PollSample is one readiness-event source's counter snapshot (see
@@ -430,26 +503,11 @@ func (r *Runtime) Stats() Stats {
 	}
 	for i, c := range r.cores {
 		cs := CoreStats{
-			Events:           c.stats.events.Load(),
-			ExecTime:         time.Duration(c.stats.execNanos.Load()),
-			Steals:           c.stats.steals.Load(),
-			RemoteSteals:     c.stats.remoteSteals.Load(),
-			StealAttempts:    c.stats.stealAttempts.Load(),
-			FailedSteals:     c.stats.failedSteals.Load(),
-			StealTime:        time.Duration(c.stats.stealNanos.Load()),
-			StolenEvents:     c.stats.stolenEvents.Load(),
-			StolenTime:       time.Duration(c.stats.stolenExecNanos.Load()),
-			StolenColors:     c.stats.stolenColors.Load(),
-			Parks:            c.stats.parks.Load(),
-			BackoffParks:     c.stats.backoffParks.Load(),
-			PostedHere:       c.stats.postedHere.Load(),
-			BatchedEvents:    c.stats.batchedEvents.Load(),
-			ColorQueueChurns: c.stats.colorQueueChurns.Load(),
-			Panics:           c.stats.panics.Load(),
-			Stalls:           c.stats.stalls.Load(),
-			Queued:           int(c.qlen.Load()),
-			TimersFired:      c.stats.timersFired.Load(),
-			TimersPending:    c.wheel.Len(),
+			Queued:        int(c.qlen.Load()),
+			TimersPending: c.wheel.Len(),
+		}
+		for k := range coreCounters {
+			*coreCounters[k].field(&cs) = c.stats.ctr[k].Load()
 		}
 		for b := range cs.StealBatchHist {
 			cs.StealBatchHist[b] = c.stats.batchHist[b].Load()
@@ -477,32 +535,18 @@ func (r *Runtime) Stats() Stats {
 // Total sums the per-core snapshots.
 func (s Stats) Total() CoreStats {
 	var t CoreStats
-	for _, c := range s.Cores {
-		t.Events += c.Events
-		t.ExecTime += c.ExecTime
-		t.Steals += c.Steals
-		t.RemoteSteals += c.RemoteSteals
-		t.StealAttempts += c.StealAttempts
-		t.FailedSteals += c.FailedSteals
-		t.StealTime += c.StealTime
-		t.StolenEvents += c.StolenEvents
-		t.StolenTime += c.StolenTime
-		t.StolenColors += c.StolenColors
+	for i := range s.Cores {
+		c := &s.Cores[i]
+		for k := range coreCounters {
+			*coreCounters[k].field(&t) += *coreCounters[k].field(c)
+		}
 		for b := range c.StealBatchHist {
 			t.StealBatchHist[b] += c.StealBatchHist[b]
 		}
-		t.Parks += c.Parks
-		t.BackoffParks += c.BackoffParks
-		t.PostedHere += c.PostedHere
-		t.BatchedEvents += c.BatchedEvents
-		t.ColorQueueChurns += c.ColorQueueChurns
-		t.Panics += c.Panics
-		t.Stalls += c.Stalls
-		t.Queued += c.Queued
-		t.TimersFired += c.TimersFired
 		for b := range c.TimerLagHist {
 			t.TimerLagHist[b] += c.TimerLagHist[b]
 		}
+		t.Queued += c.Queued
 		t.TimersPending += c.TimersPending
 		t.QueueDelayHist.merge(c.QueueDelayHist)
 		t.ExecTimeHist.merge(c.ExecTimeHist)

@@ -177,8 +177,8 @@ func (r *Runtime) harvestTimers(c *rcore) int {
 // entries re-arm on the color's current owner.
 func (r *Runtime) fireTimer(c *rcore, e *timerwheel.Entry, now int64) {
 	lag := now - e.When
-	c.stats.timersFired.Add(1)
-	c.stats.timerLagHist[timerLagBucket(lag)].Add(1)
+	c.stats.ctr[ctrTimersFired].Add(1)
+	c.stats.timerLagHist[timerLagEdges.bucket(lag)].Add(1)
 
 	// The handler id was validated at arm time and handlers never
 	// unregister, so buildEvent cannot fail here. The fired event
